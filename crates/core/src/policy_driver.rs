@@ -513,7 +513,7 @@ pub(crate) fn drive_with_policy(
     }
     let winners = (issued - stats.abandoned - stats.failed_logical) as usize;
     let duration = cloud.now() - start;
-    let mut result = collector.finish(winners, duration, recorder.finish())?;
+    let mut result = collector.finish(winners, duration, Some(recorder.finish()))?;
     result.policy = Some(stats);
     Ok(result)
 }

@@ -392,35 +392,7 @@ impl SweepReport {
     /// output depends only on the grid (not on worker count), so it is
     /// byte-identical across thread configurations.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,error\n",
-        );
-        for row in &self.rows {
-            match &row.result {
-                Ok(s) => out.push_str(&format!(
-                    "{},{},{},ok,{},{:.3},{:.3},{:.3},{:.3},{:.4},\n",
-                    row.index,
-                    csv_field(&row.scenario),
-                    row.seed,
-                    s.count,
-                    s.median_ms,
-                    s.p95_ms,
-                    s.p99_ms,
-                    s.tmr,
-                    s.cold_fraction,
-                )),
-                Err(msg) => {
-                    out.push_str(&format!(
-                        "{},{},{},error,,,,,,,{}\n",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        csv_field(msg)
-                    ));
-                }
-            }
-        }
-        out
+        self.render_csv(CsvColumns::Base)
     }
 
     /// [`SweepReport::to_csv`] plus the policy columns (p99.9, hedge
@@ -430,60 +402,7 @@ impl SweepReport {
     /// The base CSV is kept separate so existing pipelines keep parsing
     /// byte-identical output.
     pub fn to_csv_extended(&self) -> String {
-        let mut out = String::from(
-            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,\
-             p999_ms,hedge_rate,wasted_fraction,duplicate_successes,abandoned,retry_amp,goodput,\
-             error\n",
-        );
-        for row in &self.rows {
-            match &row.result {
-                Ok(s) => {
-                    out.push_str(&format!(
-                        "{},{},{},ok,{},{:.3},{:.3},{:.3},{:.3},{:.4},",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        s.count,
-                        s.median_ms,
-                        s.p95_ms,
-                        s.p99_ms,
-                        s.tmr,
-                        s.cold_fraction,
-                    ));
-                    match &s.policy {
-                        Some(p) => out.push_str(&format!(
-                            "{:.3},{:.4},{:.4},{},{},",
-                            p.p999_ms,
-                            p.hedge_rate,
-                            p.wasted_fraction,
-                            p.duplicate_successes,
-                            p.abandoned,
-                        )),
-                        None => out.push_str(",,,,,"),
-                    }
-                    match s.retry_amp {
-                        Some(amp) => out.push_str(&format!("{amp:.3},")),
-                        None => out.push(','),
-                    }
-                    match s.goodput {
-                        Some(g) => out.push_str(&format!("{g:.4},")),
-                        None => out.push(','),
-                    }
-                    out.push('\n');
-                }
-                Err(msg) => {
-                    out.push_str(&format!(
-                        "{},{},{},error{},{}\n",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        ",".repeat(13),
-                        csv_field(msg)
-                    ));
-                }
-            }
-        }
-        out
+        self.render_csv(CsvColumns::Extended)
     }
 
     /// [`SweepReport::to_csv_extended`] plus the application column
@@ -491,18 +410,40 @@ impl SweepReport {
     /// without a workflow leave it empty. Kept separate so the extended
     /// layout stays frozen for existing pipelines.
     pub fn to_csv_app(&self) -> String {
+        self.render_csv(CsvColumns::App)
+    }
+
+    /// The one CSV writer behind the three public layouts: the base
+    /// columns, then the extended ones, then the application one, each
+    /// present when `columns` includes it.
+    fn render_csv(&self, columns: CsvColumns) -> String {
+        use std::fmt::Write;
+        let extended = columns >= CsvColumns::Extended;
+        let app = columns >= CsvColumns::App;
         let mut out = String::from(
-            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,\
-             p999_ms,hedge_rate,wasted_fraction,duplicate_successes,abandoned,retry_amp,goodput,\
-             join_amp,error\n",
+            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,",
         );
+        if extended {
+            out.push_str(
+                "p999_ms,hedge_rate,wasted_fraction,duplicate_successes,abandoned,retry_amp,\
+                 goodput,",
+            );
+        }
+        if app {
+            out.push_str("join_amp,");
+        }
+        out.push_str("error\n");
+        // Columns between `status` and `error`, all empty on an error row.
+        let stat_columns = 6 + if extended { 7 } else { 0 } + usize::from(app);
         for row in &self.rows {
+            let scenario = csv_field(&row.scenario);
             match &row.result {
                 Ok(s) => {
-                    out.push_str(&format!(
+                    let _ = write!(
+                        out,
                         "{},{},{},ok,{},{:.3},{:.3},{:.3},{:.3},{:.4},",
                         row.index,
-                        csv_field(&row.scenario),
+                        scenario,
                         row.seed,
                         s.count,
                         s.median_ms,
@@ -510,46 +451,61 @@ impl SweepReport {
                         s.p99_ms,
                         s.tmr,
                         s.cold_fraction,
-                    ));
-                    match &s.policy {
-                        Some(p) => out.push_str(&format!(
-                            "{:.3},{:.4},{:.4},{},{},",
-                            p.p999_ms,
-                            p.hedge_rate,
-                            p.wasted_fraction,
-                            p.duplicate_successes,
-                            p.abandoned,
-                        )),
-                        None => out.push_str(",,,,,"),
+                    );
+                    if extended {
+                        match &s.policy {
+                            Some(p) => {
+                                let _ = write!(
+                                    out,
+                                    "{:.3},{:.4},{:.4},{},{},",
+                                    p.p999_ms,
+                                    p.hedge_rate,
+                                    p.wasted_fraction,
+                                    p.duplicate_successes,
+                                    p.abandoned,
+                                );
+                            }
+                            None => out.push_str(",,,,,"),
+                        }
+                        push_opt(&mut out, s.retry_amp.map(|amp| format!("{amp:.3}")));
+                        push_opt(&mut out, s.goodput.map(|g| format!("{g:.4}")));
                     }
-                    match s.retry_amp {
-                        Some(amp) => out.push_str(&format!("{amp:.3},")),
-                        None => out.push(','),
-                    }
-                    match s.goodput {
-                        Some(g) => out.push_str(&format!("{g:.4},")),
-                        None => out.push(','),
-                    }
-                    match s.join_amp {
-                        Some(amp) => out.push_str(&format!("{amp:.3},")),
-                        None => out.push(','),
+                    if app {
+                        push_opt(&mut out, s.join_amp.map(|amp| format!("{amp:.3}")));
                     }
                     out.push('\n');
                 }
                 Err(msg) => {
-                    out.push_str(&format!(
-                        "{},{},{},error{},{}\n",
+                    let _ = writeln!(
+                        out,
+                        "{},{},{},error{},{}",
                         row.index,
-                        csv_field(&row.scenario),
+                        scenario,
                         row.seed,
-                        ",".repeat(14),
+                        ",".repeat(stat_columns),
                         csv_field(msg)
-                    ));
+                    );
                 }
             }
         }
         out
     }
+}
+
+/// Nested column sets of the sweep CSV: each includes the previous one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum CsvColumns {
+    Base,
+    Extended,
+    App,
+}
+
+/// Appends one optional CSV field and its separator.
+fn push_opt(out: &mut String, field: Option<String>) {
+    if let Some(field) = field {
+        out.push_str(&field);
+    }
+    out.push(',');
 }
 
 /// RFC 4180 field escaping: fields containing a comma, double quote or

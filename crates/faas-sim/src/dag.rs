@@ -1,5 +1,5 @@
-//! DAG workflow specifications: fan-out/fan-in generalisation of the
-//! linear [`crate::spec::ChainSpec`].
+//! DAG workflow specifications: the only way one function invokes
+//! another.
 //!
 //! A [`DagSpec`] names its nodes and wires them with per-edge transfer
 //! modes and payload-size distributions; fan-in nodes carry a
@@ -9,10 +9,10 @@
 //! naming the offending nodes) and lowers it into a dense node-indexed
 //! [`DagPlan`] that [`crate::cloud::CloudSim::deploy_dag`] consumes.
 //!
-//! Linear segments — a single out-edge into a node of in-degree one with
-//! a constant payload (see [`PlanEdge::constant_payload`]) — are compiled
-//! down to the legacy `ChainSpec` hot path at deployment, keeping linear
-//! chains byte-identical as the degenerate single-path DAG.
+//! A producer/consumer chain (the paper's data-transfer experiments) is
+//! the single-path case, built by [`DagPlan::linear`]. It runs on the
+//! same fork/resolve path as any other DAG; a constant edge payload (see
+//! [`PlanEdge::constant_payload`]) draws no randomness.
 
 use serde::{Deserialize, Serialize};
 use simkit::dist::Dist;
@@ -428,9 +428,9 @@ pub struct DagPlan {
 }
 
 impl DagPlan {
-    /// A linear-chain plan equivalent to the legacy `ChainSpec` shape:
-    /// `length` nodes in a path, every hop carrying `payload_bytes` over
-    /// `mode`. The degenerate DAG used by the byte-identity tests.
+    /// A linear-chain plan: `length` nodes `{name}-hop{i}` in a path,
+    /// every hop carrying `payload_bytes` over `mode`. The deployer runs
+    /// every configured chain as this plan.
     pub fn linear(
         name: &str,
         length: usize,

@@ -1,8 +1,9 @@
 //! End-to-end behaviour tests of the simulated cloud using the neutral
 //! test provider (round numbers, deterministic distributions).
 
-use faas_sim::cloud::{CloudSim, DeployError};
+use faas_sim::cloud::{CloudSim, DagDeployment, DeployError};
 use faas_sim::config::{ProviderConfig, ScalePolicy};
+use faas_sim::dag::DagPlan;
 use faas_sim::spec::FunctionSpec;
 use faas_sim::testutil::test_provider;
 use faas_sim::types::{FunctionId, Runtime, TransferMode, MB};
@@ -17,6 +18,18 @@ fn run_one(cloud: &mut CloudSim, f: FunctionId, at: SimTime) -> faas_sim::Comple
     let mut done = cloud.drain_completions();
     assert_eq!(done.len(), 1, "expected exactly one completion");
     done.pop().unwrap()
+}
+
+/// Deploys a producer → consumer chain; `functions[0]` is the producer.
+fn deploy_pair(
+    cloud: &mut CloudSim,
+    mode: TransferMode,
+    payload_bytes: u64,
+    exec_ms: [f64; 2],
+) -> Result<DagDeployment, DeployError> {
+    let mut plan = DagPlan::linear("pair", 2, mode, payload_bytes, Dist::constant(exec_ms[0]));
+    plan.nodes[1].exec_ms = Dist::constant(exec_ms[1]);
+    cloud.deploy_dag(&plan)
 }
 
 #[test]
@@ -165,12 +178,7 @@ fn periodic_policy_scales_slowly_and_queues_deeply() {
 #[test]
 fn inline_chain_transfers_payload() {
     let mut cloud = CloudSim::new(test_provider(), 9);
-    let consumer = cloud.deploy(FunctionSpec::builder("consumer").build()).unwrap();
-    let producer = cloud
-        .deploy(
-            FunctionSpec::builder("producer").chain(consumer, TransferMode::Inline, 2 * MB).build(),
-        )
-        .unwrap();
+    let producer = deploy_pair(&mut cloud, TransferMode::Inline, 2 * MB, [0.0; 2]).unwrap().root;
     let done = run_one(&mut cloud, producer, SimTime::ZERO);
     assert!(done.breakdown.chain_ms > 0.0, "chain time recorded");
     let transfers = cloud.drain_transfers();
@@ -188,14 +196,7 @@ fn inline_chain_transfers_payload() {
 #[test]
 fn storage_chain_pays_put_and_get() {
     let mut cloud = CloudSim::new(test_provider(), 10);
-    let consumer = cloud.deploy(FunctionSpec::builder("consumer").build()).unwrap();
-    let producer = cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(consumer, TransferMode::Storage, 10 * MB)
-                .build(),
-        )
-        .unwrap();
+    let producer = deploy_pair(&mut cloud, TransferMode::Storage, 10 * MB, [0.0; 2]).unwrap().root;
     // Warm both functions first so the transfer sample is warm-path only.
     let _ = run_one(&mut cloud, producer, SimTime::ZERO);
     cloud.drain_transfers();
@@ -212,36 +213,10 @@ fn storage_chain_pays_put_and_get() {
 #[test]
 fn inline_payload_over_limit_is_rejected() {
     let mut cloud = CloudSim::new(test_provider(), 11);
-    let consumer = cloud.deploy(FunctionSpec::builder("consumer").build()).unwrap();
-    let err = cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(consumer, TransferMode::Inline, 100 * MB)
-                .build(),
-        )
-        .unwrap_err();
+    let err = deploy_pair(&mut cloud, TransferMode::Inline, 100 * MB, [0.0; 2]).unwrap_err();
     assert!(matches!(err, DeployError::InlinePayloadTooLarge { .. }));
     // Storage transfers have no such limit.
-    assert!(cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(consumer, TransferMode::Storage, 100 * MB)
-                .build(),
-        )
-        .is_ok());
-}
-
-#[test]
-fn chain_to_unknown_function_is_rejected() {
-    let mut cloud = CloudSim::new(test_provider(), 12);
-    let err = cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(FunctionId::from_raw_for_tests(7), TransferMode::Inline, 1024)
-                .build(),
-        )
-        .unwrap_err();
-    assert!(matches!(err, DeployError::UnknownChainTarget(_)));
+    assert!(deploy_pair(&mut cloud, TransferMode::Storage, 100 * MB, [0.0; 2]).is_ok());
 }
 
 #[test]
@@ -513,15 +488,8 @@ fn cancel_after_completion_is_a_noop() {
 #[test]
 fn cancel_cascades_into_an_in_flight_chain_hop() {
     let mut cloud = CloudSim::new(test_provider(), 14);
-    let g = cloud.deploy(FunctionSpec::builder("g").exec_constant_ms(2_000.0).build()).unwrap();
-    let f = cloud
-        .deploy(
-            FunctionSpec::builder("f")
-                .exec_constant_ms(10.0)
-                .chain(g, TransferMode::Inline, 1_000)
-                .build(),
-        )
-        .unwrap();
+    let dep = deploy_pair(&mut cloud, TransferMode::Inline, 1_000, [10.0, 2_000.0]).unwrap();
+    let (f, g) = (dep.functions[0], dep.functions[1]);
     let rid = cloud.submit(f, 0, SimTime::ZERO);
     // By 1.5s the producer finished its own compute and is waiting on the
     // consumer, which is mid-execution.

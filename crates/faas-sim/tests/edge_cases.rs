@@ -4,6 +4,7 @@
 
 use faas_sim::cloud::CloudSim;
 use faas_sim::config::{ProviderConfig, ScalePolicy};
+use faas_sim::dag::{DagNodeSpec, DagSpec};
 use faas_sim::spec::FunctionSpec;
 use faas_sim::testutil::test_provider;
 use faas_sim::types::{FunctionId, Runtime, TransferMode, MB};
@@ -16,6 +17,20 @@ fn submit_burst(cloud: &mut CloudSim, f: FunctionId, n: u32, at: SimTime) {
     for i in 0..n {
         cloud.submit(f, u64::from(i), at);
     }
+}
+
+/// Deploys a chain of default functions, one hop per `(mode, bytes)`;
+/// returns its head.
+fn deploy_chain(cloud: &mut CloudSim, hops: &[(TransferMode, u64)]) -> FunctionId {
+    let mut spec = DagSpec::new("chain");
+    for i in 0..=hops.len() {
+        spec = spec.node(DagNodeSpec::new(format!("n{i}")));
+    }
+    for (i, &(mode, bytes)) in hops.iter().enumerate() {
+        spec =
+            spec.edge(format!("n{i}"), format!("n{}", i + 1), mode, Dist::constant(bytes as f64));
+    }
+    cloud.deploy_dag(&spec.compile().unwrap()).unwrap().root
 }
 
 #[test]
@@ -145,10 +160,7 @@ fn dispatch_wait_shows_up_in_breakdown() {
 #[test]
 fn internal_requests_skip_propagation() {
     let mut cloud = CloudSim::new(test_provider(), 7);
-    let consumer = cloud.deploy(FunctionSpec::builder("c").build()).unwrap();
-    let producer = cloud
-        .deploy(FunctionSpec::builder("p").chain(consumer, TransferMode::Inline, MB).build())
-        .unwrap();
+    let producer = deploy_chain(&mut cloud, &[(TransferMode::Inline, MB)]);
     cloud.submit(producer, 0, SimTime::ZERO);
     cloud.run_until(SEC(30.0));
     let done = cloud.drain_completions();
@@ -168,16 +180,14 @@ fn internal_requests_skip_propagation() {
 fn deep_chain_accumulates_transfers_in_order() {
     let mut cloud = CloudSim::new(test_provider(), 8);
     // Four-hop chain: a -> b -> c -> d.
-    let d = cloud.deploy(FunctionSpec::builder("d").build()).unwrap();
-    let c = cloud
-        .deploy(FunctionSpec::builder("c").chain(d, TransferMode::Inline, 10_000).build())
-        .unwrap();
-    let b = cloud
-        .deploy(FunctionSpec::builder("b").chain(c, TransferMode::Storage, 500_000).build())
-        .unwrap();
-    let a = cloud
-        .deploy(FunctionSpec::builder("a").chain(b, TransferMode::Inline, MB).build())
-        .unwrap();
+    let a = deploy_chain(
+        &mut cloud,
+        &[
+            (TransferMode::Inline, MB),
+            (TransferMode::Storage, 500_000),
+            (TransferMode::Inline, 10_000),
+        ],
+    );
     cloud.submit(a, 0, SimTime::ZERO);
     cloud.run_until(SEC(60.0));
     let done = cloud.drain_completions();

@@ -2,11 +2,13 @@
 //! statistics invariants hold for arbitrary workloads and providers.
 
 use faas_sim::cloud::CloudSim;
+use faas_sim::dag::DagPlan;
 use faas_sim::spec::FunctionSpec;
 use faas_sim::testutil::test_provider;
 use faas_sim::types::TransferMode;
 use proptest::prelude::*;
 use providers::profiles::{aws_like, azure_like, google_like};
+use simkit::dist::Dist;
 use simkit::time::SimTime;
 
 fn provider_strategy() -> impl Strategy<Value = faas_sim::config::ProviderConfig> {
@@ -79,10 +81,8 @@ proptest! {
         requests in 1u32..15,
     ) {
         let mut cloud = CloudSim::new(test_provider(), seed);
-        let consumer = cloud.deploy(FunctionSpec::builder("c").build()).unwrap();
-        let producer = cloud
-            .deploy(FunctionSpec::builder("p").chain(consumer, mode, payload).build())
-            .unwrap();
+        let plan = DagPlan::linear("pc", 2, mode, payload, Dist::constant(0.0));
+        let producer = cloud.deploy_dag(&plan).unwrap().root;
         for i in 0..requests {
             cloud.submit(producer, u64::from(i), SimTime::from_secs(f64::from(i)));
         }
