@@ -81,8 +81,7 @@ proptest! {
 
     /// Bin-count views derived from the sketch conserve mass: summing
     /// rank-below differences over a log-spaced grid plus the under/over
-    /// range ranks accounts for every recorded sample. (This is the
-    /// primitive the retired histogram shim was built on; below the exact
+    /// range ranks accounts for every recorded sample. (Below the exact
     /// threshold the ranks are exact counts, not estimates.)
     #[test]
     fn sketch_bin_counts_conserve_mass(xs in prop::collection::vec(0.001f64..1e7, 1..200), bins in 1usize..30) {
