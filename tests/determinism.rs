@@ -5,13 +5,18 @@
 use faas_sim::cloud::CloudSim;
 use faas_sim::spec::FunctionSpec;
 use faas_sim::types::TransferMode;
+use policy::PolicyStats;
 use providers::profiles::{aws_like, azure_like, google_like};
+use simkit::engine::QueueKind;
 use simkit::time::SimTime;
 use stellar_core::config::{IatSpec, RuntimeConfig};
+use stellar_core::experiment::Experiment;
 use stellar_core::protocols::{
     bursty_invocations, cold_invocations, transfer_chain, warm_invocations, BurstIat, ColdSetup,
 };
 use stellar_core::runner::{Scenario, SweepGrid, SweepRunner};
+use stellar_core::traceio;
+use workload::spec::WorkloadSpec;
 
 #[test]
 fn identical_seeds_identical_latencies_per_provider() {
@@ -201,4 +206,53 @@ fn cold_start_measurements_are_reproducible_across_replica_counts_only_in_shape(
     );
     let d = stats::ks::ks_statistic(&a, &b);
     assert!(d < 0.12, "cold distributions must agree across replica counts: ks {d:.3}");
+}
+
+/// Logical requests in the pinned hedged run: far past the 1024 winners
+/// after which the driver's estimate sketch leaves exact mode, so most
+/// hedge decisions read a compressed-sketch quantile.
+const HEDGED_REQUESTS: u32 = 20_000;
+/// Order-sensitive FNV digest of the pinned hedged run's latency vector.
+const HEDGED_LATENCY_DIGEST: u64 = 0x921c_7985_58d0_ef5e;
+/// The pinned hedged run's policy counters: logical, extra launches,
+/// cancels, duplicate successes, abandoned, failures, failed logical.
+const HEDGED_POLICY_COUNTERS: [u64; 7] = [20_000, 526, 526, 282, 0, 0, 0];
+
+fn hedged_poisson_run(queue: QueueKind) -> (Vec<f64>, PolicyStats) {
+    let spec = WorkloadSpec::preset("poisson").expect("built-in workload preset");
+    let hedge = policy::PolicySpec::preset("hedge-p95").expect("built-in policy preset");
+    let runtime = RuntimeConfig::single(IatSpec::short(), HEDGED_REQUESTS)
+        .with_workload(spec)
+        .with_policy(hedge);
+    let outcome = Experiment::new(aws_like())
+        .workload(runtime)
+        .seed(1)
+        .queue(queue)
+        .run()
+        .expect("hedged run");
+    let stats = outcome.result.policy.expect("hedged runs report policy stats");
+    (outcome.latencies_ms(), stats)
+}
+
+#[test]
+fn hedged_poisson_run_is_pinned_on_every_backend() {
+    // Every hedge decision past the first 1024 winners reads the estimate
+    // sketch's compressed p95, so a change to the sketch's arithmetic
+    // shows up here as a different hedge set, latency vector or counter.
+    for queue in [QueueKind::BinaryHeap, QueueKind::Calendar, QueueKind::Adaptive] {
+        let (latencies, stats) = hedged_poisson_run(queue);
+        let text: String = latencies.iter().map(|v| format!("{:016x}\n", v.to_bits())).collect();
+        let counters = [
+            stats.logical,
+            stats.extra_launches,
+            stats.cancels,
+            stats.duplicate_successes,
+            stats.abandoned,
+            stats.failures,
+            stats.failed_logical,
+        ];
+        assert_eq!(stats.logical, u64::from(HEDGED_REQUESTS), "{queue:?}");
+        assert_eq!(traceio::digest64(&text), HEDGED_LATENCY_DIGEST, "{queue:?}: latency digest");
+        assert_eq!(counters, HEDGED_POLICY_COUNTERS, "{queue:?}: policy counters");
+    }
 }
