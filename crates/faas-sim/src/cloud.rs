@@ -1509,9 +1509,11 @@ impl Cloud {
         // `xfer_in` (which only drives the cost model above).
         if let Some(meta) = self.join_meta.get(&rid.packed()) {
             let received = now + SimTime::from_millis(steer_ms + handling_ms + payload_get_ms);
+            let root = self.wf_root_of(rid);
             for edge in &meta.edges {
                 self.transfers.push(TransferSample {
                     parent: edge.parent,
+                    root,
                     parent_tag: edge.parent_tag,
                     mode: edge.mode,
                     payload_bytes: edge.payload_bytes,
@@ -1521,8 +1523,10 @@ impl Cloud {
             }
         } else if let Some(x) = xfer {
             let received = now + SimTime::from_millis(steer_ms + handling_ms + payload_get_ms);
+            let root = self.wf_root_of(rid);
             self.transfers.push(TransferSample {
                 parent: x.parent,
+                root,
                 parent_tag: x.parent_tag,
                 mode: x.mode,
                 payload_bytes: x.payload_bytes,

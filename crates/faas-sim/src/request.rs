@@ -164,6 +164,10 @@ impl Completion {
 pub struct TransferSample {
     /// The producer's (parent) request.
     pub parent: RequestId,
+    /// The external request whose workflow carried the transfer: `parent`
+    /// itself on a two-hop chain, the entry request on longer chains and
+    /// DAGs.
+    pub root: RequestId,
     /// User tag of the parent request.
     pub parent_tag: u64,
     /// Transport used.
@@ -244,6 +248,7 @@ mod tests {
     fn transfer_sample_bandwidth() {
         let s = TransferSample {
             parent: RequestId(0),
+            root: RequestId(0),
             parent_tag: 0,
             mode: TransferMode::Storage,
             payload_bytes: 1_000_000,
@@ -258,6 +263,7 @@ mod tests {
     fn zero_duration_transfer_has_infinite_bandwidth() {
         let s = TransferSample {
             parent: RequestId(0),
+            root: RequestId(0),
             parent_tag: 0,
             mode: TransferMode::Inline,
             payload_bytes: 1,
