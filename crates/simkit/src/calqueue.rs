@@ -146,6 +146,15 @@ pub struct CalendarQueue<E> {
     scan_work: u64,
     /// Successful pops since the last rebuild (or overcrowding check).
     pops_since_rebuild: u64,
+    /// Pops in the current shrink window (since the last rebuild or
+    /// window restart); the wheel shrinks only after a whole wheel's
+    /// worth of them, so a shrink's O(buckets) cost is paid by as many
+    /// pops.
+    shrink_window_pops: u64,
+    /// Largest `len` seen in the current shrink window. A wheel whose
+    /// pending set swings back up to it is kept: shrinking it would only
+    /// grow it again on the next swing.
+    shrink_window_peak: usize,
     /// Capacity hint from [`CalendarQueue::reserve`]: lets one rebuild jump
     /// straight to the final wheel size instead of doubling repeatedly.
     capacity_hint: usize,
@@ -180,6 +189,8 @@ impl<E> CalendarQueue<E> {
             misses: 0,
             scan_work: 0,
             pops_since_rebuild: 0,
+            shrink_window_pops: 0,
+            shrink_window_peak: 0,
             capacity_hint: 0,
             stats: CalQueueStats::default(),
         }
@@ -245,6 +256,7 @@ impl<E> CalendarQueue<E> {
             self.day = self.day_of(key.at.as_nanos());
         }
         self.insert(key, event);
+        self.shrink_window_peak = self.shrink_window_peak.max(self.len);
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             let target = self.len.max(self.capacity_hint);
             self.rebuild(target);
@@ -299,13 +311,12 @@ impl<E> CalendarQueue<E> {
                 self.len -= 1;
                 self.note_pop(key.at.as_nanos());
                 self.pops_since_rebuild += 1;
-                if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-                    // Shrinking is proof the reserve() hint overstated the
-                    // *concurrent* pending set (a streaming client submits
-                    // its bulk load in slices); drop it so later growth
-                    // rebuilds size the wheel to reality, not the hint.
-                    self.capacity_hint = 0;
-                    self.rebuild(self.len);
+                self.shrink_window_pops += 1;
+                if self.len < self.buckets.len() / 4
+                    && self.buckets.len() > MIN_BUCKETS
+                    && self.shrink_window_pops >= self.buckets.len() as u64
+                {
+                    self.maybe_shrink();
                 } else {
                     self.check_overcrowding();
                 }
@@ -382,6 +393,25 @@ impl<E> CalendarQueue<E> {
             let b = (d & self.mask() as u64) as usize;
             self.buckets[b].push(key, event);
             self.wheel_len += 1;
+        }
+    }
+
+    /// Ends a shrink window: a whole wheel's worth of pops has passed and
+    /// the queue is under a quarter full. If it stayed that way through
+    /// the window, the wheel is oversized and shrinks to fit; if the
+    /// pending set swung back up within it, a fill-and-drain pattern would
+    /// rebuild twice per swing, so the wheel is kept for a new window.
+    fn maybe_shrink(&mut self) {
+        if self.shrink_window_peak < self.buckets.len() / 4 {
+            // Shrinking is proof the reserve() hint overstated the
+            // *concurrent* pending set (a streaming client submits its
+            // bulk load in slices); drop it so later growth rebuilds size
+            // the wheel to reality, not the hint.
+            self.capacity_hint = 0;
+            self.rebuild(self.len);
+        } else {
+            self.shrink_window_pops = 0;
+            self.shrink_window_peak = self.len;
         }
     }
 
@@ -475,6 +505,8 @@ impl<E> CalendarQueue<E> {
         self.misses = 0;
         self.scan_work = 0;
         self.pops_since_rebuild = 0;
+        self.shrink_window_pops = 0;
+        self.shrink_window_peak = keys.len();
         self.day = keys
             .iter()
             .map(|k| self.day_of(k.at.as_nanos()))
@@ -570,11 +602,49 @@ mod tests {
         for i in 0..10_000u64 {
             q.schedule(SimTime::from_nanos(i * 1_000), i, i as u32);
         }
-        assert!(q.buckets.len() > MIN_BUCKETS, "wheel should have grown");
+        let grown = q.buckets.len();
+        assert!(grown > MIN_BUCKETS, "wheel should have grown");
         let order = drain(&mut q);
         assert_eq!(order.len(), 10_000);
         assert!(order.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(q.buckets.len(), MIN_BUCKETS, "wheel should shrink when drained");
+        // Shrinking is amortized: the wheel shrinks once a whole window of
+        // pops (one per bucket) has run without the pending set ever
+        // filling a quarter of it.
+        for seq in 10_000..10_000 + 2 * grown as u64 {
+            let at = seq * 1_000;
+            q.schedule(SimTime::from_nanos(at), seq, 0);
+            assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((at, seq)));
+        }
+        assert_eq!(q.buckets.len(), MIN_BUCKETS, "wheel should shrink when idle");
+    }
+
+    #[test]
+    fn periodic_fill_and_drain_rebuilds_logarithmically() {
+        // Regression: with shrinking at a quarter full and growth at twice
+        // full, a pending set that swings more than 8x rebuilt the wheel
+        // twice per swing. Every N gives O(log N) rebuilds in total, here
+        // including N in [buckets, 2 * buckets], where a drain alone pops
+        // more events than the wheel has buckets.
+        for n in [3_000u64, 5_000, 7_000, 20_000] {
+            let mut q = CalendarQueue::new();
+            let mut seq = 0u64;
+            let mut at = 0u64;
+            let mut expect = 0u64;
+            for _ in 0..40 {
+                for _ in 0..n {
+                    q.schedule(SimTime::from_nanos(at), seq, 0u32);
+                    seq += 1;
+                    at += 1_000;
+                }
+                while let Some((_, s, _)) = q.pop() {
+                    assert_eq!(s, expect, "n {n}: out of order");
+                    expect += 1;
+                }
+            }
+            let log_n = u64::from(64 - n.leading_zeros());
+            let rebuilds = q.stats().rebuilds;
+            assert!(rebuilds <= log_n, "n {n}: {rebuilds} rebuilds over 40 swings");
+        }
     }
 
     #[test]
