@@ -191,7 +191,11 @@ mod tests {
 
     #[test]
     fn chain_hops_inherit_exec_time_and_image() {
-        let run = |extra_image_mb: f64| {
+        use faas_sim::span_tag;
+        // Per hop, from its trace: (execution span, queue-wait span). A
+        // hop's first request cold-starts, so its queue wait spans the
+        // boot, image fetch included.
+        let run = |extra_image_mb: f64| -> Vec<(f64, f64)> {
             let mut cloud = cloud();
             let static_cfg = StaticConfig {
                 functions: vec![
@@ -204,20 +208,32 @@ mod tests {
                 Some(ChainConfig { length: 3, mode: TransferMode::Inline, payload_bytes: 1_000 });
             let d = deploy(&mut cloud, &static_cfg, &runtime_cfg).unwrap();
             cloud.record_internal_completions(true);
+            cloud.enable_tracing(1 << 12);
             cloud.submit(d.endpoints[0].function, 0, SimTime::ZERO);
             cloud.run_until(SimTime::from_secs(60.0));
             assert_eq!(cloud.drain_completions().len(), 1);
-            cloud.drain_internal_completions()
+            assert_eq!(cloud.drain_internal_completions().len(), 2);
+            let spans = cloud.drain_spans();
+            // A hop's root span hangs off its producer's chain span.
+            let hops =
+                spans.iter().filter(|s| s.component == span_tag::REQUEST && s.parent.is_some());
+            hops.map(|hop| {
+                let ms = |tag: &str| {
+                    let span =
+                        spans.iter().find(|s| s.request == hop.request && s.component == tag);
+                    span.expect("hop span").duration_ms()
+                };
+                (ms(span_tag::EXECUTION), ms(span_tag::QUEUE_WAIT))
+            })
+            .collect()
         };
         let (small, large) = (run(0.0), run(500.0));
         assert_eq!(small.len(), 2);
         assert_eq!(large.len(), 2);
-        for (s, l) in small.iter().zip(&large) {
-            assert_eq!(s.breakdown.exec_ms, 250.0);
-            assert_eq!(l.breakdown.exec_ms, 250.0);
-            let fetch =
-                |c: &faas_sim::request::Completion| c.breakdown.cold.unwrap().image_fetch_ms;
-            assert!(fetch(l) > fetch(s), "hop image fetch {} vs {}", fetch(l), fetch(s));
+        for ((s_exec, s_wait), (l_exec, l_wait)) in small.into_iter().zip(large) {
+            assert_eq!(s_exec, 250.0);
+            assert_eq!(l_exec, 250.0);
+            assert!(l_wait > s_wait, "hop cold wait {l_wait} vs {s_wait}");
         }
     }
 

@@ -336,7 +336,7 @@ impl Experiment {
             result.faults = Some(cloud.fault_stats());
         }
         let dag = match (&dag_plan, &dag_deployment) {
-            (Some(plan), Some(dep)) => Some(dag_run_stats(&mut cloud, plan, dep, &result)),
+            (Some(plan), Some(dep)) => Some(dag_run_stats(&mut cloud, plan, dep)),
             _ => None,
         };
         let spans = cloud.drain_spans();
@@ -352,29 +352,22 @@ impl Experiment {
 
 /// Builds the per-stage breakdown and straggler report of a workflow run.
 ///
-/// Stage latency is `total − chain` per completion — a stage's own
+/// Stage latency is `total − chain` per request — a stage's own
 /// contribution (infrastructure, execution, response) excluding the
 /// downstream round trip it waited on, so stages don't double-count their
-/// subtrees. Root-stage samples come from the client's completions
-/// (warm-up included), the other stages from the recorded internal
-/// completions.
-fn dag_run_stats(
-    cloud: &mut CloudSim,
-    plan: &DagPlan,
-    dep: &DagDeployment,
-    result: &RunResult,
-) -> DagRunStats {
+/// subtrees. Every stage, the root included, reads the cloud's recorded
+/// stage samples, so exact and streaming runs report the same rows.
+fn dag_run_stats(cloud: &mut CloudSim, plan: &DagPlan, dep: &DagDeployment) -> DagRunStats {
     use std::collections::HashMap;
     // fid -> plan node index.
     let node_of: HashMap<usize, usize> =
         dep.functions.iter().enumerate().map(|(node, fid)| (fid.index(), node)).collect();
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); plan.nodes.len()];
-    let internal = cloud.drain_internal_completions();
-    for c in
-        result.completions.iter().chain(result.warmup_completions.iter()).chain(internal.iter())
-    {
-        if let Some(&node) = node_of.get(&c.function.index()) {
-            samples[node].push(c.breakdown.total_ms() - c.breakdown.chain_ms);
+    let roots = cloud.drain_root_stage_samples();
+    let hops = cloud.drain_internal_completions();
+    for s in roots.iter().chain(&hops) {
+        if let Some(&node) = node_of.get(&s.function.index()) {
+            samples[node].push(s.ms);
         }
     }
     let stages = plan

@@ -426,12 +426,13 @@ pub(crate) fn drive(
     let planned = (total * burst) as usize;
     let multi_source = process.sources() > 1;
     let mut policy = cfg.policy.as_ref().map(|spec| PolicyState::new(spec, seed, cloud));
+    // Streaming runs pass no event-queue hint: this loop submits one
+    // slice at a time, so the pending set stays near the slice and the
+    // requests in flight, and a wheel sized for the whole run would only
+    // shrink back (the legacy driver, which plans its whole grid up
+    // front, keeps the hint).
     if measure.keep_samples {
         cloud.reserve_requests(planned);
-    } else {
-        // Forward the bulk-load hint even without sample buffers so the
-        // adaptive event queue can promote once, up front.
-        cloud.reserve_event_hint(planned);
     }
     if policy.is_none() {
         cloud.open_submission_window(planned);

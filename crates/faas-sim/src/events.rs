@@ -37,7 +37,9 @@ pub enum CloudEvent {
     /// policies): the request is dropped at this event boundary, freeing
     /// its instance if it was executing.
     Cancel(RequestId),
-    /// Keep-alive check for an idle instance at the given epoch.
+    /// Keep-alive check of an instance, carrying the sequence number of
+    /// its `(time, seq)` key so the handler can tell the instance's armed
+    /// check from a no-op one.
     ReapCheck(InstanceId, u64),
     /// Periodic scale-controller tick for a function (Azure-style).
     ScaleTick(FunctionId),

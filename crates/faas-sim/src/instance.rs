@@ -1,10 +1,14 @@
 //! Function instance lifecycle state machine.
 //!
 //! Instances move `Booting → Idle ⇄ Busy → Dead`, with keep-alive reaping
-//! from `Idle`. Each state change bumps an epoch counter so that stale
-//! reap events (scheduled before the instance was reused) are ignored.
+//! from `Idle`. Each state change bumps an epoch counter, and a reap
+//! applies only at the epoch of the idle transition that set its deadline.
+//! Deadlines live beside the instance in a [`KeepAlive`] record, which
+//! keeps at most one reap check per instance in the event queue however
+//! often the instance is reused.
 
 use simkit::time::SimTime;
+use simkit::EventKey;
 
 use crate::types::{InstanceId, RequestId};
 
@@ -28,6 +32,32 @@ pub enum InstanceState {
     },
     /// Reaped; never used again.
     Dead,
+}
+
+/// Keep-alive deadline of one instance, stored in a table parallel to
+/// the instances so that `Instance` itself stays small.
+///
+/// Every idle transition reserves the `(time, seq)` key a timer of its
+/// own would have had, and `due` holds the latest. At most one check per
+/// instance is `armed` in the event queue: one that fires before `due`
+/// re-arms at `due` if the instance is still idle, so a reap lands on
+/// exactly the key of the transition that set it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeepAlive {
+    /// Key reserved by the latest idle transition.
+    pub(crate) due: EventKey,
+    /// Instance epoch at that transition: the reap applies only while the
+    /// instance is still idle at it.
+    pub(crate) due_epoch: u64,
+    /// Key of this instance's pending check, if one is pending.
+    pub(crate) armed: Option<EventKey>,
+}
+
+impl KeepAlive {
+    /// The record of an instance that has never been idle (epoch 0 is the
+    /// booting epoch, so `due` can never match).
+    pub(crate) const NEVER_IDLE: KeepAlive =
+        KeepAlive { due: EventKey { at: SimTime::ZERO, seq: 0 }, due_epoch: 0, armed: None };
 }
 
 /// One function instance.

@@ -52,6 +52,6 @@ pub mod types;
 pub use billing::ResourceUsage;
 pub use cloud::{metric, span_tag, CloudSim, CloudStats, DeployError, RequestSlabStats};
 pub use config::ProviderConfig;
-pub use request::{Breakdown, Completion, TransferSample};
+pub use request::{Breakdown, Completion, StageSample, TransferSample};
 pub use spec::FunctionSpec;
 pub use types::{DeploymentMethod, FunctionId, InstanceId, RequestId, Runtime, TransferMode};

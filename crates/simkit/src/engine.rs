@@ -304,8 +304,20 @@ impl<E> Scheduler<E> {
         SeqBlock { next: start, end: start + count }
     }
 
+    /// Reserves the next sequence number without scheduling anything. An
+    /// event later scheduled with it through
+    /// [`Scheduler::schedule_at_with_seq`] pops exactly where one
+    /// scheduled now would have, so a model can keep a timer's place in
+    /// the `(time, seq)` order while deciding later whether to schedule
+    /// it at all.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     /// Schedules `event` at `at` with an explicit sequence number taken
-    /// from a [`SeqBlock`].
+    /// from a [`SeqBlock`] or [`Scheduler::reserve_seq`].
     ///
     /// # Panics
     ///
