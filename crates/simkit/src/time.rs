@@ -110,6 +110,11 @@ impl SimTime {
         self.0.checked_sub(rhs.0).map(SimTime)
     }
 
+    /// Checked addition: `None` where `+` would overflow.
+    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
+        self.0.checked_add(rhs.0).map(SimTime)
+    }
+
     /// Returns the larger of two times.
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
